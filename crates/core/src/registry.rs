@@ -2,23 +2,42 @@
 //! amortized batch verification.
 //!
 //! A verification service receives many claims from many claimants, most of
-//! them against a handful of circuits (one per disputed model family). Three
+//! them against a handful of circuits (one per disputed model family). Four
 //! costs dominate a naive per-claim loop and are amortizable:
 //!
 //! * **pairing precomputation** — `VerifyingKey::prepare` runs `e(α, β)`
 //!   and the G2 line precomputations; the [`KeyRegistry`] does it once per
 //!   [`CircuitId`] and caches the result;
+//! * **statement identity** — checking that a claim's statement really
+//!   describes the circuit its proof names means re-synthesizing the
+//!   circuit from the statement ([`OwnershipStatement::circuit_id`]), by
+//!   far the largest cost of verifying a claim. The registry remembers the
+//!   statement digests each circuit was registered with
+//!   ([`KeyRegistry::register_statement`]); a claim about a registered
+//!   statement takes its circuit id from that record and is never
+//!   re-synthesized, while any other statement still is, with the same
+//!   checks and errors;
 //! * **input preparation** — folding the suspect model's parameters into
 //!   the instance commitment (one MSM over the key's `γ_abc` bases);
 //!   [`KeyRegistry::verify_batch`] does it once per distinct
 //!   statement-and-verdict, not once per claim — including on the
 //!   per-claim fallback path after a failed combined check;
-//! * **final exponentiations** — `verify_batch` folds all positive
+//! * **final exponentiations** — `verify_batch` folds all `n` positive
 //!   same-circuit claims into one random-linear-combination pairing check
-//!   (`2n + 2` Miller loops and one final exponentiation instead of `3n`
+//!   (`n + 2` Miller loops and one final exponentiation instead of `3n`
 //!   and `n`), falling back to per-claim verification only when the
 //!   combined check fails — so a batch with a single forged claim still
 //!   yields precise per-claim verdicts.
+//!
+//! Skipping synthesis for a registered statement is safe for three
+//! reasons. A registered `(circuit, statement digest)` pair comes from the
+//! authority's own setup synthesis of that statement, so it carries exactly
+//! the trust of the verifying key it is registered beside. Equal content
+//! digests mean byte-identical statements, and byte-identical statements
+//! synthesize to the same circuit id. [`VerifierKit::verify`]'s bound path
+//! already rests on the same argument. Soundness never depended on the
+//! identity check anyway: the pairing equation binds the proof to the
+//! circuit-specific key.
 //!
 //! For concurrent servers (many worker threads verifying independently),
 //! [`ShardedKeyRegistry`] wraps the same cache in `CircuitId`-sharded
@@ -28,33 +47,63 @@
 //!
 //! Note that the registry authenticates each claim against the statement
 //! *it carries*: `Ok(())` means "the watermark is in the model the claimant
-//! described". A service adjudicating a dispute over one specific model
-//! must additionally pin claims to that model's statement — compare
+//! described". A registered statement digest only speeds up the identity
+//! check; it does not restrict which statements are accepted. A service
+//! adjudicating a dispute over one specific model must additionally pin
+//! claims to that model's statement — compare
 //! `claim.statement.content_digest()` against the disputed statement's
 //! digest, as [`crate::VerifierKit::bind_statement`] does for the
 //! single-kit path.
 
-use crate::artifact::CircuitId;
+use crate::artifact::{CircuitId, OwnershipStatement};
 use crate::error::ZkrownnError;
 use crate::verify::{
-    check_proof_circuit, check_statement_circuit, verify_claim_prepared, SignedClaim, VerifierKit,
+    check_proof_circuit, check_statement_circuit, verify_claim_crypto, SignedClaim, VerifierKit,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::RwLock;
 use zkrownn_groth16::{
     prepare_inputs, verify_proof_with_prepared_inputs, verify_proofs_batch_prepared,
     PreparedInputs, PreparedVerifyingKey, Proof, VerificationError, VerifyingKey,
 };
 
-/// A cache of prepared verifying keys, indexed by circuit id.
+/// A cache of prepared verifying keys, indexed by circuit id, together
+/// with the statement digests each circuit was registered for.
 #[derive(Default)]
 pub struct KeyRegistry {
-    prepared: HashMap<CircuitId, PreparedVerifyingKey>,
+    circuits: HashMap<CircuitId, RegisteredCircuit>,
     preparations: usize,
 }
 
+/// One registered circuit: its prepared key and the content digests of the
+/// statements it was registered for. The digest set only grows at
+/// registration, one entry per registered `(circuit, statement)` pair.
+struct RegisteredCircuit {
+    pvk: PreparedVerifyingKey,
+    statements: HashSet<[u8; 32]>,
+}
+
+impl RegisteredCircuit {
+    /// The circuit id of a statement (with content digest `digest`) carried
+    /// by a claim whose proof names this circuit, `id`. A registered
+    /// statement is this circuit by registration; any other statement is
+    /// re-synthesized.
+    fn statement_id(
+        &self,
+        id: CircuitId,
+        statement: &OwnershipStatement,
+        digest: &[u8; 32],
+    ) -> CircuitId {
+        if self.statements.contains(digest) {
+            id
+        } else {
+            statement.circuit_id()
+        }
+    }
+}
+
 /// Per-distinct-statement cache entry inside one `verify_batch` group: the
-/// statement's (re-synthesized) circuit id plus the instance commitment for
+/// statement's circuit id plus the instance commitment for
 /// each verdict value, prepared at most once and reused by the combined
 /// check *and* the per-claim fallback.
 struct StatementEntry {
@@ -72,32 +121,76 @@ impl KeyRegistry {
     /// precomputation) unless that circuit is already cached. Returns
     /// `true` if the key was newly prepared.
     pub fn register(&mut self, id: CircuitId, vk: &VerifyingKey) -> bool {
-        if self.prepared.contains_key(&id) {
+        if self.circuits.contains_key(&id) {
             return false;
         }
-        self.prepared.insert(id, vk.prepare());
+        self.circuits.insert(
+            id,
+            RegisteredCircuit {
+                pvk: vk.prepare(),
+                statements: HashSet::new(),
+            },
+        );
         self.preparations += 1;
         true
     }
 
-    /// Registers a [`VerifierKit`]'s key under its circuit id.
+    /// Registers a verifying key for a circuit like [`Self::register`], and
+    /// records that the statement with content digest `statement_digest`
+    /// ([`OwnershipStatement::content_digest`]) synthesizes to `id`.
+    /// Returns `true` if the key was newly prepared.
+    ///
+    /// Claims about a recorded statement skip the re-synthesis of the
+    /// statement-identity check (see the [module docs](self)), so the pair
+    /// must come from the authority's own setup of that statement, with the
+    /// same trust as `vk` itself: a setup-issued [`VerifierKit`]'s binding,
+    /// or the pair a registration file or key store was written with.
+    pub fn register_statement(
+        &mut self,
+        id: CircuitId,
+        statement_digest: [u8; 32],
+        vk: &VerifyingKey,
+    ) -> bool {
+        let newly_prepared = self.register(id, vk);
+        self.circuits
+            .get_mut(&id)
+            .expect("registered above")
+            .statements
+            .insert(statement_digest);
+        newly_prepared
+    }
+
+    /// Registers a [`VerifierKit`]'s key under its circuit id, together with
+    /// the statement the kit is bound to ([`VerifierKit::bind_statement`]),
+    /// if any.
     pub fn register_kit(&mut self, kit: &VerifierKit) -> bool {
-        self.register(kit.circuit_id(), kit.verifying_key())
+        match kit.expected_statement() {
+            Some(digest) => self.register_statement(kit.circuit_id(), digest, kit.verifying_key()),
+            None => self.register(kit.circuit_id(), kit.verifying_key()),
+        }
     }
 
     /// Whether a circuit's key is registered.
     pub fn contains(&self, id: CircuitId) -> bool {
-        self.prepared.contains_key(&id)
+        self.circuits.contains_key(&id)
+    }
+
+    /// Whether `statement_digest` was registered for circuit `id` (so claims
+    /// about that statement skip re-synthesis).
+    pub fn has_statement(&self, id: CircuitId, statement_digest: &[u8; 32]) -> bool {
+        self.circuits
+            .get(&id)
+            .is_some_and(|c| c.statements.contains(statement_digest))
     }
 
     /// Number of registered circuits.
     pub fn len(&self) -> usize {
-        self.prepared.len()
+        self.circuits.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
+        self.circuits.is_empty()
     }
 
     /// How many pairing precomputations this registry has run — one per
@@ -106,14 +199,18 @@ impl KeyRegistry {
         self.preparations
     }
 
-    /// Verifies a single claim against the registered keys.
+    /// Verifies a single claim against the registered keys: the
+    /// statement-identity check (skipping synthesis for a registered
+    /// statement), the pairing equation, then the verdict gate.
     pub fn verify(&self, claim: &SignedClaim) -> Result<(), ZkrownnError> {
         let id = claim.circuit_id();
-        let pvk = self
-            .prepared
+        let circuit = self
+            .circuits
             .get(&id)
             .ok_or(ZkrownnError::UnknownCircuit(id))?;
-        verify_claim_prepared(pvk, id, claim)
+        let digest = claim.statement.content_digest();
+        check_statement_circuit(id, circuit.statement_id(id, &claim.statement, &digest))?;
+        verify_claim_crypto(&circuit.pvk, claim)
     }
 
     /// Verifies many claims, amortizing everything amortizable, and returns
@@ -155,17 +252,18 @@ impl KeyRegistry {
         }
 
         for (id, indices) in groups {
-            let Some(pvk) = self.prepared.get(&id) else {
+            let Some(circuit) = self.circuits.get(&id) else {
                 for i in indices {
                     results[i] = Err(ZkrownnError::UnknownCircuit(id));
                 }
                 continue;
             };
 
+            let pvk = &circuit.pvk;
             // per distinct statement: the circuit id (one setup-mode
-            // synthesis) and the per-verdict instance commitments, all
-            // computed at most once for the whole group — combined check
-            // and fallback included
+            // synthesis, unless the statement is registered) and the
+            // per-verdict instance commitments, all computed at most once
+            // for the whole group — combined check and fallback included
             let mut statement_cache: HashMap<[u8; 32], StatementEntry> = HashMap::new();
             // positive claims eligible for the combined pairing check,
             // built directly in the shape `verify_proofs_batch_prepared`
@@ -179,10 +277,11 @@ impl KeyRegistry {
                     results[i] = Err(e);
                     continue;
                 }
+                let digest = claim.statement.content_digest();
                 let entry = statement_cache
-                    .entry(claim.statement.content_digest())
+                    .entry(digest)
                     .or_insert_with(|| StatementEntry {
-                        statement_id: claim.statement.circuit_id(),
+                        statement_id: circuit.statement_id(id, &claim.statement, &digest),
                         inputs: [None, None],
                     });
                 if let Err(e) = check_statement_circuit(id, entry.statement_id) {
@@ -289,14 +388,40 @@ impl ShardedKeyRegistry {
             .register(id, vk)
     }
 
-    /// Registers a [`VerifierKit`]'s key under its circuit id.
+    /// Registers a key and a statement digest for a circuit, like
+    /// [`KeyRegistry::register_statement`] (write-locking only its shard).
+    pub fn register_statement(
+        &self,
+        id: CircuitId,
+        statement_digest: [u8; 32],
+        vk: &VerifyingKey,
+    ) -> bool {
+        self.shard(id)
+            .write()
+            .expect("shard poisoned")
+            .register_statement(id, statement_digest, vk)
+    }
+
+    /// Registers a [`VerifierKit`]'s key (and bound statement, if any)
+    /// under its circuit id, like [`KeyRegistry::register_kit`].
     pub fn register_kit(&self, kit: &VerifierKit) -> bool {
-        self.register(kit.circuit_id(), kit.verifying_key())
+        self.shard(kit.circuit_id())
+            .write()
+            .expect("shard poisoned")
+            .register_kit(kit)
     }
 
     /// Whether a circuit's key is registered.
     pub fn contains(&self, id: CircuitId) -> bool {
         self.shard(id).read().expect("shard poisoned").contains(id)
+    }
+
+    /// Whether `statement_digest` was registered for circuit `id`.
+    pub fn has_statement(&self, id: CircuitId, statement_digest: &[u8; 32]) -> bool {
+        self.shard(id)
+            .read()
+            .expect("shard poisoned")
+            .has_statement(id, statement_digest)
     }
 
     /// Number of registered circuits (sums all shards).

@@ -121,7 +121,7 @@ pub fn verify_proof(
 /// Batch verification of many proofs under one verifying key.
 ///
 /// Takes a random linear combination of the individual pairing equations
-/// (coefficients from `rng`), so all `n` proofs are checked with `2n + 2`
+/// (coefficients from `rng`), so all `n` proofs are checked with `n + 2`
 /// Miller loops and a single final exponentiation instead of `3n` loops and
 /// `n` exponentiations. A batch that fails may contain any number of bad
 /// proofs; fall back to individual verification to locate them.
@@ -139,7 +139,7 @@ pub fn verify_proofs_batch<R: rand::Rng + ?Sized>(
 
 /// [`verify_proofs_batch`] over pre-folded instance commitments — claims
 /// that share a statement share the (already paid) input MSM, so the
-/// marginal cost per proof is two Miller loops and two G1 scalar muls.
+/// marginal cost per proof is one Miller loop and three G1 scalar muls.
 pub fn verify_proofs_batch_prepared<R: rand::Rng + ?Sized>(
     pvk: &PreparedVerifyingKey,
     batch: &[(Proof, PreparedInputs)],

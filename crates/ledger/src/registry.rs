@@ -89,13 +89,24 @@ impl LedgeredRegistry {
     /// Registers a verifying key for `(id, statement_digest)`: prepares
     /// and caches the key if the circuit is new, and appends the pair's
     /// leaf to the ledger if the pair is new.
+    ///
+    /// A non-zero `statement_digest` is also recorded in the key registry
+    /// ([`ShardedKeyRegistry::register_statement`]), so claims about that
+    /// statement skip re-synthesis. The pair must therefore come from the
+    /// authority's own setup, with the same trust as `vk`. The all-zero
+    /// digest that unbound kits record names no statement and is never
+    /// recorded.
     pub fn register(
         &self,
         id: CircuitId,
         statement_digest: [u8; 32],
         vk: &VerifyingKey,
     ) -> Registration {
-        let newly_prepared = self.keys.register(id, vk);
+        let newly_prepared = if statement_digest == [0u8; 32] {
+            self.keys.register(id, vk)
+        } else {
+            self.keys.register_statement(id, statement_digest, vk)
+        };
         let leaf = LedgerLeaf {
             circuit_id: id,
             statement_digest,

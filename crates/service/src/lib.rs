@@ -12,7 +12,7 @@
 //! * **coalescing verifier** ([`batcher`]) — concurrent in-flight claims
 //!   for the same circuit are folded into one random-linear-combination
 //!   pairing check, so the registry's `verify_batch` amortization (one
-//!   input MSM per distinct statement, `2n + 2` Miller loops instead of
+//!   input MSM per distinct statement, `n + 2` Miller loops instead of
 //!   `3n`) is realized across *independent clients*, not just within one
 //!   caller's batch;
 //! * **server** ([`server`]) — a hand-rolled TCP listener and worker
@@ -197,7 +197,9 @@ pub fn load_keys_dir(registry: &LedgeredRegistry, dir: &Path) -> Result<usize, S
 /// directory-iteration order. A `.zkst` store contributes its embedded
 /// circuit-id / statement-digest metadata and its verifying-key segments;
 /// the proving-key segments are never read, so registering a multi-GB
-/// store costs only the verifying key.
+/// store costs only the verifying key. Every loaded statement digest is
+/// recorded next to its key ([`LedgeredRegistry::register`]), so claims
+/// about a loaded statement skip the circuit re-synthesis.
 ///
 /// # Recovery semantics
 ///

@@ -17,7 +17,7 @@ use std::time::Duration;
 use rand::SeedableRng;
 use zkrownn::{
     Artifact, Authority, CircuitId, ExtractionSpec, KeyStore, MemoryBudget, QuantLayer,
-    QuantizedModel,
+    QuantizedModel, SignedClaim, StoredProverKit,
 };
 use zkrownn_gadgets::FixedConfig;
 use zkrownn_groth16::VerifyingKey;
@@ -514,4 +514,77 @@ fn key_directory_loading_is_deterministic_and_sorted() {
     assert_eq!(reg_a.current_root().root, by_hand.current_root().root);
 
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// Keys loaded from a key directory record the statement digest they were
+/// set up for, so claims about those statements skip the authority's
+/// re-synthesis. A claim about any other statement of the same circuit
+/// still goes through synthesis and fails at the pairing.
+#[test]
+fn loaded_keys_bind_their_statements_and_other_statements_still_fail() {
+    let f = fixture();
+    let id = CircuitId::from_bytes(f.id);
+    let dir = std::env::temp_dir().join(format!("zkrownn-e2e-bound-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("key-0.vk"),
+        registration_bytes(id, f.statement_digest, &fixture_vk()),
+    )
+    .unwrap();
+
+    // a second circuit, registered from a streamed key store
+    let store_spec = tiny_spec(vec![true; 2]);
+    let store_statement = store_spec.statement();
+    let store_path = dir.join("key-1.zkst");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(734);
+    let store_verifier = Authority::setup_statement_stored(
+        &store_statement,
+        &store_path,
+        &mut rng,
+        MemoryBudget::from_mb(8),
+    )
+    .expect("streaming setup writes the store");
+    let store_id = store_verifier.circuit_id();
+    assert_ne!(store_id, id);
+    let store_claim = StoredProverKit::open(&store_path, store_spec, MemoryBudget::from_mb(8))
+        .expect("store opens for its own spec")
+        .prove(&mut rng)
+        .expect("stored prover proves");
+
+    let registry = Arc::new(LedgeredRegistry::new());
+    assert_eq!(load_keys_dir(&registry, &dir).unwrap(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(registry.keys().has_statement(id, &f.statement_digest));
+    assert!(registry
+        .keys()
+        .has_statement(store_id, &store_statement.content_digest()));
+
+    // another model of the registered circuit's shape: never registered
+    let mut other = SignedClaim::from_bytes(&f.claims[0]).unwrap();
+    let QuantLayer::Dense { w, .. } = &mut other.statement.model.layers[0] else {
+        unreachable!("tiny spec starts with a dense layer")
+    };
+    w[0] = other.statement.cfg.encode(0.75);
+    assert_eq!(other.statement.circuit_id(), id);
+    assert!(!registry
+        .keys()
+        .has_statement(id, &other.statement.content_digest()));
+
+    let handle = serve(test_config(), Arc::clone(&registry)).expect("server binds");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let cases = [
+        (f.claims[0].clone(), Status::Ok),
+        (store_claim.to_bytes(), Status::Ok),
+        (other.to_bytes(), Status::InvalidProof),
+    ];
+    for (claim, expected) in cases {
+        assert_eq!(client.verify_bytes(claim).unwrap().status, expected);
+    }
+    handle.shutdown_and_join();
+
+    // the all-zero digest an unbound kit registers names no statement
+    let unbound = LedgeredRegistry::new();
+    unbound.register(id, [0u8; 32], &fixture_vk());
+    assert!(!unbound.keys().has_statement(id, &[0u8; 32]));
+    assert!(!unbound.keys().has_statement(id, &f.statement_digest));
 }
